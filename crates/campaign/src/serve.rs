@@ -14,7 +14,14 @@
 //! The HTTP layer is a hand-rolled blocking HTTP/1.1 server (the
 //! build environment is offline — no crates.io), deliberately tiny:
 //! GET only, no body parsing, bounded request-line/header sizes,
-//! keep-alive + pipelining via a per-connection read loop. Endpoints:
+//! keep-alive + pipelining via a per-connection read loop. Each
+//! connection gets its own thread, under a hard cap
+//! ([`ServeOptions::max_connections`]); over the cap the accept thread
+//! answers `503` + `Retry-After` itself, so an idle keep-alive socket
+//! or a blocked cold query only ever holds its own connection. Every
+//! response leaves in a single write on a `TCP_NODELAY` socket, so
+//! Nagle's algorithm never holds a body back behind the client's
+//! delayed ACK. Endpoints:
 //!
 //! * `GET /v1/cell?scenario=S&fault=F&algo=A[&replicate=N]` — the
 //!   query surface. The response body is **deterministic** (identity
@@ -40,13 +47,13 @@ use crate::grid::{cell_seed, expand, Cell};
 use crate::spec::{Algo, CampaignSpec};
 use fx_graph::par::CancelToken;
 use fx_trace::{Counter, Target};
-use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::{BinaryHeap, HashMap};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 static TRACE_REQUESTS: Counter = Counter::new(Target::Serve, "requests");
 static TRACE_HITS: Counter = Counter::new(Target::Serve, "hits");
@@ -60,18 +67,27 @@ static TRACE_BAD_REQUESTS: Counter = Counter::new(Target::Serve, "bad_requests")
 /// answering `431 Request Header Fields Too Large`.
 pub const MAX_HEADER_BYTES: usize = 8192;
 
-/// `Retry-After` seconds suggested on a `429` backpressure response.
+/// `Retry-After` seconds suggested on a `429` backpressure response
+/// and on a `503` over the connection cap.
 pub const RETRY_AFTER_SECS: u64 = 1;
+
+/// How long an idle keep-alive connection waits for its next request.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// How long a request line and its headers may take to arrive once
+/// the request's first byte has: a client that trickles its headers
+/// cannot hold a connection for the whole idle timeout per byte.
+const HEADER_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Configuration of one [`serve`] daemon.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
-    /// HTTP connection-handler threads. Each blocked cold query
-    /// occupies one, so size this above the expected concurrent
-    /// cold-query fan-in.
-    pub http_threads: usize,
+    /// Hard cap on open connections, each served by its own thread.
+    /// A connection over the cap is answered `503` + `Retry-After` +
+    /// `Connection: close` by the accept thread.
+    pub max_connections: usize,
     /// Cell-compute threads draining the miss queue.
     pub compute_threads: usize,
     /// Bounded miss-queue capacity (cells *waiting*, excluding the
@@ -89,7 +105,7 @@ impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
             addr: "127.0.0.1:7171".to_string(),
-            http_threads: 4,
+            max_connections: 64,
             compute_threads: 1,
             queue_cap: 64,
             request_timeout_ms: 120_000,
@@ -171,8 +187,9 @@ struct Shared {
     opts: ServeOptions,
     stop: AtomicBool,
     cancel: CancelToken,
-    conns: Mutex<VecDeque<TcpStream>>,
-    conns_cv: Condvar,
+    /// A handle on every open connection (by connection id), so the
+    /// cap can count them and shutdown can unblock their threads.
+    open: Mutex<HashMap<u64, TcpStream>>,
     queue: Mutex<JobQueue>,
     queue_cv: Condvar,
     stats: Stats,
@@ -216,8 +233,7 @@ pub fn serve(spec: &CampaignSpec, opts: &ServeOptions) -> Result<Server, String>
         opts: opts.clone(),
         stop: AtomicBool::new(false),
         cancel: CancelToken::new(),
-        conns: Mutex::new(VecDeque::new()),
-        conns_cv: Condvar::new(),
+        open: Mutex::new(HashMap::new()),
         queue: Mutex::new(JobQueue::default()),
         queue_cv: Condvar::new(),
         stats: Stats::default(),
@@ -229,15 +245,6 @@ pub fn serve(spec: &CampaignSpec, opts: &ServeOptions) -> Result<Server, String>
             std::thread::Builder::new()
                 .name("serve-accept".into())
                 .spawn(move || accept_loop(listener, &shared))
-                .map_err(|e| format!("spawn: {e}"))?,
-        );
-    }
-    for i in 0..opts.http_threads.max(1) {
-        let shared = shared.clone();
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("serve-http-{i}"))
-                .spawn(move || http_worker(&shared))
                 .map_err(|e| format!("spawn: {e}"))?,
         );
     }
@@ -272,17 +279,41 @@ impl Server {
     }
 
     /// Stops the daemon: cancels in-flight computations
-    /// cooperatively, wakes every worker, and joins all threads.
+    /// cooperatively, closes open connections, wakes every worker, and
+    /// joins all threads.
     pub fn shutdown(mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
         self.shared.cancel.cancel();
-        // Wake the accept loop with a throwaway connection; wake the
-        // worker pools through their condvars.
+        // Closing the read side ends an idle keep-alive wait at once,
+        // while a request still waiting for its cell can write its
+        // answer. The accept loop registers connections under this
+        // lock after checking `stop`, so none slips past.
+        for stream in self
+            .shared
+            .open
+            .lock()
+            .expect("open-connection lock poisoned")
+            .values()
+        {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        // Requests waiting on jobs no compute worker will claim now
+        // answer 503 instead of waiting out their request timeout.
+        for job in self
+            .shared
+            .queue
+            .lock()
+            .expect("queue lock poisoned")
+            .jobs
+            .values()
+        {
+            let _done = job.done.lock().expect("job lock poisoned");
+            job.cv.notify_all();
+        }
+        // Wake the accept loop with a throwaway connection and the
+        // compute pool through its condvar.
         let _ = TcpStream::connect(self.addr);
-        self.shared.conns_cv.notify_all();
         self.shared.queue_cv.notify_all();
-        // Waiters parked on job condvars re-check `stop` on their
-        // wait timeout; computed jobs notify as usual.
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -301,39 +332,100 @@ fn canonical_cell_key(cell: &Cell) -> String {
     )
 }
 
-fn accept_loop(listener: TcpListener, shared: &Shared) {
+fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
+    let mut threads: Vec<JoinHandle<()>> = Vec::new();
+    let mut next_id = 0u64;
     for conn in listener.incoming() {
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
+        // Join finished connection threads (a panic in one was already
+        // reported by the panic hook).
+        let mut i = 0;
+        while i < threads.len() {
+            if threads[i].is_finished() {
+                let _ = threads.swap_remove(i).join();
+            } else {
+                i += 1;
+            }
         }
-        let Ok(stream) = conn else { continue };
-        let mut conns = shared.conns.lock().unwrap();
-        conns.push_back(stream);
-        drop(conns);
-        shared.conns_cv.notify_one();
+        let Ok(mut stream) = conn else { continue };
+        let mut open = shared.open.lock().expect("open-connection lock poisoned");
+        if shared.stop.load(Ordering::SeqCst) {
+            break;
+        }
+        if open.len() >= shared.opts.max_connections.max(1) {
+            drop(open);
+            let mut resp = Response::error(
+                503,
+                "Service Unavailable",
+                "connection limit reached; retry shortly",
+            );
+            resp.extra_headers
+                .push(format!("Retry-After: {RETRY_AFTER_SECS}"));
+            let _ = resp.write_to(&mut stream, false);
+            // Half-close first: the FIN then goes out ahead of the
+            // reset that closing over an unread request triggers, so
+            // the client reads the response and a clean end of stream.
+            let _ = stream.shutdown(Shutdown::Write);
+            continue;
+        }
+        let Ok(handle) = stream.try_clone() else {
+            continue;
+        };
+        next_id += 1;
+        let id = next_id;
+        open.insert(id, handle);
+        drop(open);
+        let conn_shared = shared.clone();
+        match std::thread::Builder::new()
+            .name("serve-conn".into())
+            .spawn(move || connection(stream, id, &conn_shared))
+        {
+            Ok(thread) => threads.push(thread),
+            // The closure, and the stream with it, is dropped.
+            Err(_) => {
+                shared
+                    .open
+                    .lock()
+                    .expect("open-connection lock poisoned")
+                    .remove(&id);
+            }
+        }
+    }
+    for thread in threads {
+        let _ = thread.join();
     }
 }
 
-fn http_worker(shared: &Shared) {
-    loop {
-        let stream = {
-            let mut conns = shared.conns.lock().unwrap();
-            loop {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                match conns.pop_front() {
-                    Some(s) => break s,
-                    None => conns = shared.conns_cv.wait(conns).unwrap(),
-                }
-            }
-        };
-        // Errors on one connection (including a client that vanished
-        // mid-response) only end that connection; the worker returns
-        // to the pool either way — a wedged worker would be a
-        // denial-of-service bug.
-        handle_connection(stream, shared);
+/// Frees a connection's slot under the cap when its thread ends,
+/// including by a panic.
+struct Slot<'a> {
+    shared: &'a Shared,
+    id: u64,
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        // A map insert or remove never leaves it half-updated, so a
+        // poisoned lock still guards valid data.
+        self.shared
+            .open
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&self.id);
     }
+}
+
+fn connection(stream: TcpStream, id: u64, shared: &Shared) {
+    // Dropped before `stream`, even on a panic (locals drop before
+    // parameters).
+    let slot = Slot { shared, id };
+    // Errors on one connection (including a client that vanished
+    // mid-response) only end that connection.
+    handle_connection(&stream, shared);
+    // Free the slot before the client can see the close, so a client
+    // that has seen it can reconnect without tripping the cap.
+    drop(slot);
+    // Half-close first, for the same reason as over the cap.
+    let _ = stream.shutdown(Shutdown::Write);
 }
 
 // ---------------------------------------------------------------------------
@@ -377,22 +469,26 @@ impl Response {
         Response::new(status, reason, fx_json::to_string(&body))
     }
 
-    fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
-        let mut head = format!(
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: keep-alive\r\n",
+    /// Writes status line, headers and body in one `write_all`, so the
+    /// response leaves in as few segments as its size allows.
+    /// `keep_alive` says whether the server reads another request off
+    /// this connection afterwards.
+    fn write_to(&self, out: &mut impl Write, keep_alive: bool) -> std::io::Result<()> {
+        let mut wire = format!(
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
             self.status,
             self.reason,
             self.content_type,
-            self.body.len()
+            self.body.len(),
+            if keep_alive { "keep-alive" } else { "close" }
         );
         for h in &self.extra_headers {
-            head.push_str(h);
-            head.push_str("\r\n");
+            wire.push_str(h);
+            wire.push_str("\r\n");
         }
-        head.push_str("\r\n");
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(self.body.as_bytes())?;
-        stream.flush()
+        wire.push_str("\r\n");
+        wire.push_str(&self.body);
+        out.write_all(wire.as_bytes())
     }
 }
 
@@ -407,7 +503,7 @@ enum ReadOutcome {
     Bad(Response),
 }
 
-fn read_request(reader: &mut BufReader<TcpStream>) -> ReadOutcome {
+fn read_request(reader: &mut impl Read) -> ReadOutcome {
     let mut line = String::new();
     match read_capped_line(reader, &mut line) {
         Ok(0) => return ReadOutcome::Closed,
@@ -499,11 +595,10 @@ enum CapErr {
 
 /// `read_line` with a hard size cap, so a malicious endless line
 /// cannot balloon memory or wedge the worker past the cap.
-fn read_capped_line(reader: &mut BufReader<TcpStream>, out: &mut String) -> Result<usize, CapErr> {
+fn read_capped_line(reader: &mut impl Read, out: &mut String) -> Result<usize, CapErr> {
     let mut bytes = Vec::new();
     loop {
         let mut byte = [0u8; 1];
-        use std::io::Read as _;
         match reader.read(&mut byte) {
             Ok(0) => break,
             Ok(_) => {
@@ -522,34 +617,59 @@ fn read_capped_line(reader: &mut BufReader<TcpStream>, out: &mut String) -> Resu
     Ok(bytes.len())
 }
 
-fn handle_connection(stream: TcpStream, shared: &Shared) {
-    // A read timeout bounds how long an idle keep-alive connection
-    // (or a stalled mid-request client) can hold the worker.
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
+/// The read side of a connection: while waiting for a request's first
+/// byte, reads time out after [`IDLE_TIMEOUT`]; once it has arrived,
+/// the rest of the head must arrive by `deadline`.
+struct ConnReader {
+    stream: TcpStream,
+    deadline: Option<Instant>,
+}
+
+impl Read for ConnReader {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let timeout = match self.deadline {
+            None => IDLE_TIMEOUT,
+            Some(deadline) => deadline
+                .checked_duration_since(Instant::now())
+                .filter(|left| !left.is_zero())
+                .ok_or(std::io::ErrorKind::TimedOut)?,
+        };
+        self.stream.set_read_timeout(Some(timeout))?;
+        self.stream.read(buf)
+    }
+}
+
+fn handle_connection(stream: &TcpStream, shared: &Shared) {
+    let _ = stream.set_nodelay(true);
     let Ok(reader_stream) = stream.try_clone() else {
         return;
     };
-    let mut reader = BufReader::new(reader_stream);
+    let mut reader = BufReader::new(ConnReader {
+        stream: reader_stream,
+        deadline: None,
+    });
     let mut stream = stream;
     loop {
+        reader.get_mut().deadline = None;
+        match reader.fill_buf() {
+            Ok(buf) if !buf.is_empty() => {}
+            _ => return, // EOF, idle timeout, or shutdown
+        }
+        reader.get_mut().deadline = Some(Instant::now() + HEADER_TIMEOUT);
         match read_request(&mut reader) {
             ReadOutcome::Closed => return,
             ReadOutcome::Bad(resp) => {
                 shared.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
                 TRACE_BAD_REQUESTS.incr();
-                let _ = resp.write_to(&mut stream);
+                let _ = resp.write_to(&mut stream, false);
                 return; // protocol errors poison the connection
             }
             ReadOutcome::Request { path, close } => {
                 shared.stats.requests.fetch_add(1, Ordering::Relaxed);
                 TRACE_REQUESTS.incr();
                 let resp = route(&path, shared);
-                if resp.write_to(&mut stream).is_err() {
-                    // Early client disconnect mid-response: drop the
-                    // connection, keep the worker.
-                    return;
-                }
-                if close || shared.stop.load(Ordering::SeqCst) {
+                let close = close || shared.stop.load(Ordering::SeqCst);
+                if resp.write_to(&mut stream, !close).is_err() || close {
                     return;
                 }
             }
@@ -860,4 +980,46 @@ fn compute_cell(shared: &Shared, cell: &Cell) -> Result<CellResult, String> {
         return Err("cell timed out".to_string());
     }
     Ok(result)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_one_write_of_head_and_body() {
+        let mut resp = Response::new(200, "OK", "{\"a\":1}".to_string());
+        resp.extra_headers.push("X-Cache: hit".to_string());
+        for (keep_alive, connection) in [(true, "keep-alive"), (false, "close")] {
+            let mut out = CountingWriter::default();
+            resp.write_to(&mut out, keep_alive).unwrap();
+            assert_eq!(out.writes, 1, "head and body must leave in one write");
+            assert_eq!(
+                String::from_utf8(out.bytes).unwrap(),
+                format!(
+                    "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 7\r\n\
+                     Connection: {connection}\r\nX-Cache: hit\r\n\r\n{{\"a\":1}}"
+                )
+            );
+        }
+    }
 }

@@ -69,7 +69,7 @@ commands:
                                                  record was corrupt; --health
                                                  prints the failed/retried/
                                                  corrupt-cell table)
-  serve      --spec FILE [--addr HOST:PORT] [--http-threads N]
+  serve      --spec FILE [--addr HOST:PORT] [--max-connections N]
              [--compute-threads N] [--queue-cap N] [--timeout-ms MS]
                                                 memoizing HTTP cell-query daemon:
                                                 GET /v1/cell?scenario=S&fault=F&
@@ -81,7 +81,11 @@ commands:
                                                 priority queue and published back
                                                 to the store. A full queue answers
                                                 429 + Retry-After instead of
-                                                accepting unbounded work.
+                                                accepting unbounded work. Each
+                                                connection has its own thread;
+                                                one over --max-connections
+                                                (default 64) is answered 503 +
+                                                Retry-After and closed.
 
 global:     --threads N   worker threads (or FXNET_THREADS; default: cores, ≤ 16)
 resilience: panicking cells retry up to [params] retries times (default 2),
@@ -356,7 +360,7 @@ fn run_serve(args: &Args) -> Result<(), String> {
     let defaults = fx_campaign::ServeOptions::default();
     let opts = fx_campaign::ServeOptions {
         addr: args.get("addr").unwrap_or(&defaults.addr).to_string(),
-        http_threads: args.get_parsed("http-threads", defaults.http_threads)?,
+        max_connections: args.get_parsed("max-connections", defaults.max_connections)?,
         compute_threads: args.get_parsed("compute-threads", defaults.compute_threads)?,
         queue_cap: args.get_parsed("queue-cap", defaults.queue_cap)?,
         request_timeout_ms: args.get_parsed("timeout-ms", defaults.request_timeout_ms)?,

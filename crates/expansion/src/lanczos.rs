@@ -229,9 +229,7 @@ pub fn lanczos_lambda2<R: Rng + ?Sized>(
         // w -= alpha v_j + beta_j v_{j-1}
         axpy(&mut w, alpha, &basis[j]);
         if j > 0 {
-            let b = betas[j - 1];
-            let prev = basis[j - 1].clone();
-            axpy(&mut w, b, &prev);
+            axpy(&mut w, betas[j - 1], &basis[j - 1]);
         }
         // full reorthogonalization (twice is enough)
         for _ in 0..2 {
@@ -248,12 +246,11 @@ pub fn lanczos_lambda2<R: Rng + ?Sized>(
         betas.push(beta);
         let next: Vec<f64> = w.iter().map(|x| x / beta).collect();
         basis.push(next);
-        // cheap convergence probe every few iterations
-        if j >= 8 && j % 4 == 0 {
+        // cheap convergence probe every few iterations; the Ritz value
+        // is only needed (to check it is finite) once beta is small
+        if j >= 8 && j % 4 == 0 && beta < tol {
             let mu = tridiag_kth_largest(&alphas, &betas[..alphas.len() - 1], 1);
-            // residual proxy: last beta times last eigenvector entry;
-            // do the full check only near the end for cost reasons
-            if beta < tol && mu.is_finite() {
+            if mu.is_finite() {
                 break;
             }
         }

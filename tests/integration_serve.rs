@@ -12,14 +12,18 @@
 //! request lines, oversized headers, unknown paths, non-GET methods,
 //! early client disconnects mid-exchange, and pipelined requests all
 //! produce correct status codes on *this* connection and leave the
-//! worker pool serving the next one. Identical concurrent misses
+//! server serving the next one. Identical concurrent misses
 //! coalesce into one computation (single-flight), asserted through
 //! both `/v1/stats` and the `serve`-target fx-trace counters; a full
 //! compute queue answers `429` + `Retry-After` without dropping any
-//! request it already accepted.
+//! request it already accepted. The connection layer never stalls:
+//! keep-alive round trips do not wait for a delayed ACK, idle sockets
+//! neither block new connections nor shutdown, a connection over the
+//! cap gets `503`, and `Connection: close` marks every response after
+//! which the server closes.
 
 use fx_campaign::{expand, run, run_cell, serve, CampaignSpec, RunOptions, ServeOptions};
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
@@ -136,6 +140,61 @@ fn get_with_timeout(addr: SocketAddr, path: &str, read_timeout: Duration) -> Rep
         format!("GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").as_bytes(),
         read_timeout,
     )
+}
+
+/// `get`, repeated while the connection cap answers 503, for at most
+/// 10 s: slots leaked by ended connections would never come back.
+fn get_once_slots_free(addr: SocketAddr, path: &str) -> Reply {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let reply = get(addr, path);
+        if reply.status != 503 || Instant::now() > deadline {
+            return reply;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// Reads exactly one response off a keep-alive connection: the head,
+/// then `Content-Length` bytes of body.
+fn read_reply(reader: &mut BufReader<TcpStream>) -> Reply {
+    let mut head = String::new();
+    loop {
+        let mut line = String::new();
+        assert!(
+            reader.read_line(&mut line).unwrap() > 0,
+            "connection closed mid-response"
+        );
+        if line == "\r\n" {
+            break;
+        }
+        head.push_str(&line);
+    }
+    let mut reply = parse_reply(&format!("{head}\r\n"));
+    let len: usize = reply.header("Content-Length").unwrap().parse().unwrap();
+    let mut body = vec![0u8; len];
+    reader.read_exact(&mut body).unwrap();
+    reply.body = String::from_utf8(body).unwrap();
+    reply
+}
+
+/// Opens a connection, completes one keep-alive `/v1/health` round
+/// trip on it (so the server has surely accepted it), and returns it
+/// still open.
+fn open_idle_connection(addr: SocketAddr) -> BufReader<TcpStream> {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = BufReader::new(stream);
+    reader
+        .get_mut()
+        .write_all(b"GET /v1/health HTTP/1.1\r\nHost: t\r\n\r\n")
+        .unwrap();
+    let reply = read_reply(&mut reader);
+    assert_eq!(reply.status, 200);
+    assert_eq!(reply.header("Connection"), Some("keep-alive"));
+    reader
 }
 
 fn cell_path(cell: &fx_campaign::Cell) -> String {
@@ -319,7 +378,7 @@ fn protocol_violations_yield_correct_statuses_and_never_wedge_a_worker() {
         &spec,
         &ServeOptions {
             addr: "127.0.0.1:0".into(),
-            http_threads: 2,
+            max_connections: 2,
             ..ServeOptions::default()
         },
     )
@@ -448,15 +507,15 @@ fn early_client_disconnects_leave_the_pool_serving() {
         &spec,
         &ServeOptions {
             addr: "127.0.0.1:0".into(),
-            http_threads: 2,
+            max_connections: 2,
             ..ServeOptions::default()
         },
     )
     .unwrap();
     let addr = server.addr();
-    // More abandoned connections than HTTP workers, in every rude
-    // shape: connect-and-close, partial request line then close, and
-    // full request closed before reading the response.
+    // More abandoned connections than the connection cap, in every
+    // rude shape: connect-and-close, partial request line then close,
+    // and full request closed before reading the response.
     for _ in 0..3 {
         drop(TcpStream::connect(addr).unwrap());
         let mut partial = TcpStream::connect(addr).unwrap();
@@ -468,9 +527,11 @@ fn early_client_disconnects_leave_the_pool_serving() {
             .unwrap();
         drop(unread);
     }
-    // Both workers must still be alive to answer these.
-    assert_eq!(get(addr, "/v1/health").status, 200);
-    assert_eq!(get(addr, "/v1/stats").status, 200);
+    // Every abandoned connection must give its slot back. The last
+    // few may still be closing when the next connect arrives, so the
+    // cap may answer 503 for a moment, never for good.
+    assert_eq!(get_once_slots_free(addr, "/v1/health").status, 200);
+    assert_eq!(get_once_slots_free(addr, "/v1/stats").status, 200);
     server.shutdown();
 }
 
@@ -488,7 +549,7 @@ fn concurrent_identical_misses_coalesce_into_one_computation() {
         &spec,
         &ServeOptions {
             addr: "127.0.0.1:0".into(),
-            http_threads: 8,
+            max_connections: 8,
             compute_threads: 1,
             queue_cap: 16,
             ..ServeOptions::default()
@@ -553,7 +614,7 @@ fn full_queue_answers_429_without_dropping_accepted_requests() {
         &spec,
         &ServeOptions {
             addr: "127.0.0.1:0".into(),
-            http_threads: 8,
+            max_connections: 8,
             compute_threads: 1,
             queue_cap: 1,
             ..ServeOptions::default()
@@ -606,5 +667,232 @@ fn full_queue_answers_429_without_dropping_accepted_requests() {
     assert_eq!(coalesced_reply.status, 200);
     assert_eq!(coalesced_reply.body, accepted_reply.body);
     assert_eq!(slow.join().unwrap().status, 500);
+    server.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Connection layer: one write per response, a thread per connection
+// under a cap, truthful `Connection` headers
+// ---------------------------------------------------------------------------
+
+#[test]
+fn keep_alive_round_trips_never_wait_for_a_delayed_ack() {
+    let _guard = serial();
+    let spec = mini_spec(None);
+    let server = serve(
+        &spec,
+        &ServeOptions {
+            addr: "127.0.0.1:0".into(),
+            ..ServeOptions::default()
+        },
+    )
+    .unwrap();
+    // A response split across two writes without TCP_NODELAY holds
+    // its body back until the client's delayed ACK (~40 ms per round
+    // trip, so ~8 s for the whole loop).
+    let start = Instant::now();
+    let mut conn = open_idle_connection(server.addr());
+    for _ in 1..200 {
+        conn.get_mut()
+            .write_all(b"GET /v1/health HTTP/1.1\r\nHost: t\r\n\r\n")
+            .unwrap();
+        let reply = read_reply(&mut conn);
+        assert_eq!(reply.status, 200);
+        assert_eq!(reply.body, "ok\n");
+        assert_eq!(reply.header("Connection"), Some("keep-alive"));
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "200 keep-alive round trips took {elapsed:?}"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn idle_keep_alive_connections_neither_block_new_ones_nor_shutdown() {
+    let _guard = serial();
+    let spec = mini_spec(None);
+    let server = serve(
+        &spec,
+        &ServeOptions {
+            addr: "127.0.0.1:0".into(),
+            ..ServeOptions::default()
+        },
+    )
+    .unwrap();
+    let addr = server.addr();
+    let mut idle: Vec<_> = (0..6).map(|_| open_idle_connection(addr)).collect();
+    let start = Instant::now();
+    assert_eq!(get(addr, "/v1/health").status, 200);
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(500),
+        "/v1/health behind 6 idle connections took {elapsed:?}"
+    );
+    // Shutdown closes the idle sockets instead of waiting out their
+    // 10 s keep-alive timeout.
+    let start = Instant::now();
+    server.shutdown();
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "shutdown with idle connections took {elapsed:?}"
+    );
+    for conn in &mut idle {
+        let mut rest = Vec::new();
+        assert_eq!(conn.read_to_end(&mut rest).unwrap(), 0, "server closed");
+    }
+}
+
+#[test]
+fn a_connection_over_the_cap_gets_503_and_close() {
+    let _guard = serial();
+    let spec = mini_spec(None);
+    let server = serve(
+        &spec,
+        &ServeOptions {
+            addr: "127.0.0.1:0".into(),
+            max_connections: 2,
+            ..ServeOptions::default()
+        },
+    )
+    .unwrap();
+    let addr = server.addr();
+    let mut held: Vec<_> = (0..2).map(|_| open_idle_connection(addr)).collect();
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut third = BufReader::new(stream);
+    third
+        .get_mut()
+        .write_all(b"GET /v1/health HTTP/1.1\r\nHost: t\r\n\r\n")
+        .unwrap();
+    let refused = read_reply(&mut third);
+    assert_eq!(refused.status, 503, "{}", refused.body);
+    assert_eq!(refused.header("Connection"), Some("close"));
+    assert_eq!(refused.header("Retry-After"), Some("1"));
+    // The held connections are unaffected, and closing one frees its
+    // slot for a newcomer.
+    held[0]
+        .get_mut()
+        .write_all(b"GET /v1/health HTTP/1.1\r\nHost: t\r\n\r\n")
+        .unwrap();
+    assert_eq!(read_reply(&mut held[0]).status, 200);
+    drop(held.pop());
+    assert_eq!(get_once_slots_free(addr, "/v1/health").status, 200);
+    server.shutdown();
+}
+
+#[test]
+fn connection_header_says_close_whenever_the_server_closes() {
+    let _guard = serial();
+    let spec = mini_spec(None);
+    let server = serve(
+        &spec,
+        &ServeOptions {
+            addr: "127.0.0.1:0".into(),
+            ..ServeOptions::default()
+        },
+    )
+    .unwrap();
+    let addr = server.addr();
+    let quick = Duration::from_secs(10);
+    let long_path = format!("GET /{} HTTP/1.1\r\n\r\n", "x".repeat(9000));
+    let cases: [(&[u8], u16); 5] = [
+        // The client asked to close.
+        (b"GET /v1/health HTTP/1.1\r\nConnection: close\r\n\r\n", 200),
+        // HTTP/1.0 closes by default.
+        (b"GET /v1/health HTTP/1.0\r\n\r\n", 200),
+        // Protocol errors poison the connection.
+        (b"GARBAGE\r\n\r\n", 400),
+        (b"POST /v1/cell HTTP/1.1\r\n\r\n", 405),
+        (long_path.as_bytes(), 431),
+    ];
+    for (payload, status) in cases {
+        let reply = raw_request(addr, payload, quick);
+        assert_eq!(reply.status, status, "{}", reply.body);
+        assert_eq!(
+            reply.header("Connection"),
+            Some("close"),
+            "{}",
+            String::from_utf8_lossy(&payload[..payload.len().min(40)])
+        );
+    }
+    server.shutdown();
+}
+
+#[test]
+fn shutdown_answers_waiting_requests_503_with_connection_close() {
+    let _guard = serial();
+    let spec = slow_spec();
+    let server = serve(
+        &spec,
+        &ServeOptions {
+            addr: "127.0.0.1:0".into(),
+            compute_threads: 1,
+            ..ServeOptions::default()
+        },
+    )
+    .unwrap();
+    let addr = server.addr();
+    let slow = std::thread::spawn(move || {
+        get(
+            addr,
+            "/v1/cell?scenario=torus:64,64&fault=none&algo=percolation",
+        )
+    });
+    wait_for_stat(addr, "inflight", 1);
+    // A keep-alive request whose cell waits in the queue behind the
+    // slow one when the server shuts down.
+    let waiting = std::thread::spawn(move || {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let mut conn = BufReader::new(stream);
+        conn.get_mut()
+            .write_all(
+                b"GET /v1/cell?scenario=cycle:16&fault=none&algo=expansion-cert HTTP/1.1\r\n\
+                  Host: t\r\n\r\n",
+            )
+            .unwrap();
+        read_reply(&mut conn)
+    });
+    wait_for_stat(addr, "queue_depth", 1);
+    server.shutdown();
+    let reply = waiting.join().unwrap();
+    assert_eq!(reply.status, 503, "{}", reply.body);
+    assert_eq!(reply.header("Connection"), Some("close"));
+    assert_eq!(slow.join().unwrap().status, 503);
+}
+
+#[test]
+fn a_client_that_stalls_mid_headers_is_dropped_after_the_header_deadline() {
+    let _guard = serial();
+    let spec = mini_spec(None);
+    let server = serve(
+        &spec,
+        &ServeOptions {
+            addr: "127.0.0.1:0".into(),
+            ..ServeOptions::default()
+        },
+    )
+    .unwrap();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let start = Instant::now();
+    stream.write_all(b"GET /v1/hea").unwrap();
+    let mut rest = Vec::new();
+    assert_eq!(stream.read_to_end(&mut rest).unwrap(), 0);
+    let elapsed = start.elapsed();
+    // The header deadline (2 s), not the 10 s keep-alive idle timeout.
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "stalled request held its connection for {elapsed:?}"
+    );
     server.shutdown();
 }
