@@ -18,9 +18,11 @@
 //! connection gets its own thread, under a hard cap
 //! ([`ServeOptions::max_connections`]); over the cap the accept thread
 //! answers `503` + `Retry-After` itself, so an idle keep-alive socket
-//! or a blocked cold query only ever holds its own connection. Every
-//! response leaves in a single write on a `TCP_NODELAY` socket, so
-//! Nagle's algorithm never holds a body back behind the client's
+//! or a blocked cold query only ever holds its own connection, and a
+//! write that cannot finish within [`WRITE_TIMEOUT`] (a client that
+//! sends requests but never reads the answers) ends its connection.
+//! Every response leaves in a single write on a `TCP_NODELAY` socket,
+//! so Nagle's algorithm never holds a body back behind the client's
 //! delayed ACK. Endpoints:
 //!
 //! * `GET /v1/cell?scenario=S&fault=F&algo=A[&replicate=N]` — the
@@ -30,7 +32,8 @@
 //!   (`hit` or `miss`) carries the cache disposition out of band.
 //! * `GET /v1/health` — liveness probe (`ok`).
 //! * `GET /v1/stats` — hits/misses/coalesced/computed/rejected
-//!   counters plus inflight and queue-depth gauges. Gauges live in
+//!   counters, `refused` (connections answered `503` over the cap),
+//!   plus inflight and queue-depth gauges. Gauges live in
 //!   dedicated atomics (fx-trace counters drain on snapshot); every
 //!   counter is *also* mirrored to `serve`-target trace counters so
 //!   `FXNET_TRACE=serve` works and tests can assert single-flight.
@@ -61,6 +64,7 @@ static TRACE_MISSES: Counter = Counter::new(Target::Serve, "misses");
 static TRACE_COALESCED: Counter = Counter::new(Target::Serve, "coalesced");
 static TRACE_COMPUTED: Counter = Counter::new(Target::Serve, "computed");
 static TRACE_REJECTED: Counter = Counter::new(Target::Serve, "rejected");
+static TRACE_REFUSED: Counter = Counter::new(Target::Serve, "refused");
 static TRACE_BAD_REQUESTS: Counter = Counter::new(Target::Serve, "bad_requests");
 
 /// Maximum bytes of request line + headers the server reads before
@@ -78,6 +82,12 @@ const IDLE_TIMEOUT: Duration = Duration::from_secs(10);
 /// the request's first byte has: a client that trickles its headers
 /// cannot hold a connection for the whole idle timeout per byte.
 const HEADER_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// How long one write may block before its connection is closed: a
+/// response is a few KiB at most, so a write only blocks this long
+/// when the client has stopped reading and its socket buffers are
+/// full, and the slot goes to the next client.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Configuration of one [`serve`] daemon.
 #[derive(Debug, Clone)]
@@ -174,6 +184,7 @@ struct Stats {
     coalesced: AtomicU64,
     computed: AtomicU64,
     rejected: AtomicU64,
+    refused: AtomicU64,
     bad_requests: AtomicU64,
     inflight: AtomicU64,
 }
@@ -347,12 +358,15 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
             }
         }
         let Ok(mut stream) = conn else { continue };
+        let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
         let mut open = shared.open.lock().expect("open-connection lock poisoned");
         if shared.stop.load(Ordering::SeqCst) {
             break;
         }
         if open.len() >= shared.opts.max_connections.max(1) {
             drop(open);
+            shared.stats.refused.fetch_add(1, Ordering::Relaxed);
+            TRACE_REFUSED.incr();
             let mut resp = Response::error(
                 503,
                 "Service Unavailable",
@@ -706,6 +720,7 @@ fn stats_response(shared: &Shared) -> Response {
         ("coalesced".to_string(), u(&s.coalesced)),
         ("computed".to_string(), u(&s.computed)),
         ("rejected".to_string(), u(&s.rejected)),
+        ("refused".to_string(), u(&s.refused)),
         ("bad_requests".to_string(), u(&s.bad_requests)),
         ("inflight".to_string(), u(&s.inflight)),
         ("queue_depth".to_string(), Json::UInt(queue_depth)),

@@ -85,7 +85,11 @@ commands:
                                                 connection has its own thread;
                                                 one over --max-connections
                                                 (default 64) is answered 503 +
-                                                Retry-After and closed.
+                                                Retry-After and closed, and
+                                                counted as refused in
+                                                /v1/stats. A response write
+                                                blocked for 2 s closes its
+                                                connection.
 
 global:     --threads N   worker threads (or FXNET_THREADS; default: cores, ≤ 16)
 resilience: panicking cells retry up to [params] retries times (default 2),

@@ -54,6 +54,109 @@ fn deflate(x: &mut [f64], v: &[f64]) {
     axpy(x, c, v);
 }
 
+/// Width of the blocks [`axpy_dot`] updates at once.
+const BLOCK: usize = 8;
+
+/// `w -= c * prev`, then returns `w · q`, in one pass.
+///
+/// Bit-identical to `axpy(w, c, prev); dot(w, q)`. Within a block the
+/// updates and products are independent, so the compiler vectorizes
+/// them; the products are then added one at a time in index order onto
+/// one accumulator seeded with `-0.0` (the seed of `Iterator::sum` for
+/// `f64`), which is exactly the add chain of [`dot`].
+fn axpy_dot(w: &mut [f64], c: f64, prev: &[f64], q: &[f64]) -> f64 {
+    assert!(prev.len() == w.len() && q.len() == w.len());
+    let mut acc = -0.0;
+    let mut ws = w.chunks_exact_mut(BLOCK);
+    let mut ps = prev.chunks_exact(BLOCK);
+    let mut qs = q.chunks_exact(BLOCK);
+    for ((wb, pb), qb) in (&mut ws).zip(&mut ps).zip(&mut qs) {
+        let mut prod = [0.0; BLOCK];
+        for k in 0..BLOCK {
+            wb[k] -= c * pb[k];
+            prod[k] = wb[k] * qb[k];
+        }
+        for p in prod {
+            acc += p;
+        }
+    }
+    let tail = ws.into_remainder().iter_mut().zip(ps.remainder());
+    for ((x, p), y) in tail.zip(qs.remainder()) {
+        *x -= c * p;
+        acc += *x * y;
+    }
+    acc
+}
+
+/// Full reorthogonalization of `w`: Gram–Schmidt against every basis
+/// vector and then `v1`, twice ("twice is enough"). The four passes run
+/// as one chain through [`axpy_dot`], so each projection's subtraction
+/// rides along the next projection's dot product.
+fn reorthogonalize(w: &mut [f64], basis: &[Vec<f64>], v1: &[f64]) {
+    let pass = basis.iter().map(Vec::as_slice).chain([v1]);
+    let mut chain = pass.clone().chain(pass);
+    let mut prev = chain.next().expect("the chain holds v1");
+    let mut c = dot(w, prev);
+    for q in chain {
+        c = axpy_dot(w, c, prev, q);
+        prev = q;
+    }
+    axpy(w, c, prev);
+}
+
+/// The Krylov basis and the tridiagonal `(alphas, betas)` of a run.
+struct Krylov {
+    basis: Vec<Vec<f64>>,
+    alphas: Vec<f64>,
+    betas: Vec<f64>,
+}
+
+/// The Lanczos recurrence from the deflated unit vector `start`, for at
+/// most `m_max` iterations.
+fn krylov(comp: &CompactComponent, v1: &[f64], start: Vec<f64>, m_max: usize, tol: f64) -> Krylov {
+    let mut basis: Vec<Vec<f64>> = vec![start];
+    let mut alphas: Vec<f64> = Vec::new();
+    let mut betas: Vec<f64> = Vec::new();
+    let mut w = vec![0.0; basis[0].len()];
+
+    for j in 0..m_max {
+        comp.apply_normalized_adjacency(&basis[j], &mut w);
+        deflate(&mut w, v1);
+        let alpha = dot(&basis[j], &w);
+        alphas.push(alpha);
+        // the rest of the iteration only builds the next basis vector
+        if j + 1 == m_max {
+            break;
+        }
+        // w -= alpha v_j + beta_j v_{j-1}
+        axpy(&mut w, alpha, &basis[j]);
+        if j > 0 {
+            axpy(&mut w, betas[j - 1], &basis[j - 1]);
+        }
+        reorthogonalize(&mut w, &basis, v1);
+        let beta = norm(&w);
+        if beta < 1e-12 {
+            break;
+        }
+        betas.push(beta);
+        let next: Vec<f64> = w.iter().map(|x| x / beta).collect();
+        basis.push(next);
+        // cheap convergence probe every few iterations; the Ritz value
+        // is only needed (to check it is finite) once beta is small
+        if j >= 8 && j % 4 == 0 && beta < tol {
+            let mu = tridiag_kth_largest(&alphas, &betas[..alphas.len() - 1], 1);
+            if mu.is_finite() {
+                break;
+            }
+        }
+    }
+    Krylov {
+        basis,
+        alphas,
+        betas,
+    }
+}
+
 /// Number of eigenvalues of the tridiagonal `(alpha, beta)` strictly
 /// less than `x`, by the Sturm sequence of the shifted LDLᵀ recurrence.
 fn sturm_count(alpha: &[f64], beta: &[f64], x: f64) -> usize {
@@ -187,7 +290,15 @@ fn solve_tridiag_shifted(alpha: &[f64], beta: &[f64], shift: f64, b: &[f64]) -> 
 /// returning `λ₂` of the normalized Laplacian and its Ritz vector.
 ///
 /// `max_iter` bounds the Krylov dimension (full reorthogonalization
-/// costs O(iter² · n)); `tol` is the residual target.
+/// costs O(iter² · n)). `tol` is not a residual target: every fourth
+/// iteration from the ninth on, the run stops once `β` (the next
+/// off-diagonal of the tridiagonal) is below `tol`. `β` is the norm of
+/// the part of `M·q_j` that is new to the Krylov space, not the Ritz
+/// residual, so it only gets that small once the space is numerically
+/// invariant. A graph with many distinct eigenvalues therefore runs
+/// all `min(max_iter, n)` iterations however early the Ritz pair
+/// converges: every solve of `specs/random_faults.toml` runs the full
+/// 160.
 ///
 /// Returns `None` for components of fewer than 2 nodes (λ₂ undefined).
 pub fn lanczos_lambda2<R: Rng + ?Sized>(
@@ -195,6 +306,18 @@ pub fn lanczos_lambda2<R: Rng + ?Sized>(
     max_iter: usize,
     tol: f64,
     rng: &mut R,
+) -> Option<LanczosResult> {
+    lanczos_with(comp, max_iter, tol, rng, krylov)
+}
+
+/// [`lanczos_lambda2`] around the Krylov recurrence `run` (the tests
+/// pass the unfused reference recurrence here).
+fn lanczos_with<R: Rng + ?Sized>(
+    comp: &CompactComponent,
+    max_iter: usize,
+    tol: f64,
+    rng: &mut R,
+    run: fn(&CompactComponent, &[f64], Vec<f64>, usize, f64) -> Krylov,
 ) -> Option<LanczosResult> {
     let n = comp.len();
     if n < 2 {
@@ -216,45 +339,11 @@ pub fn lanczos_lambda2<R: Rng + ?Sized>(
     let nrm = norm(&v).max(1e-300);
     v.iter_mut().for_each(|x| *x /= nrm);
 
-    let mut basis: Vec<Vec<f64>> = vec![v.clone()];
-    let mut alphas: Vec<f64> = Vec::new();
-    let mut betas: Vec<f64> = Vec::new();
-    let mut w = vec![0.0; n];
-
-    for j in 0..m_max {
-        comp.apply_normalized_adjacency(&basis[j], &mut w);
-        deflate(&mut w, &v1);
-        let alpha = dot(&basis[j], &w);
-        alphas.push(alpha);
-        // w -= alpha v_j + beta_j v_{j-1}
-        axpy(&mut w, alpha, &basis[j]);
-        if j > 0 {
-            axpy(&mut w, betas[j - 1], &basis[j - 1]);
-        }
-        // full reorthogonalization (twice is enough)
-        for _ in 0..2 {
-            for q in &basis {
-                let c = dot(&w, q);
-                axpy(&mut w, c, q);
-            }
-            deflate(&mut w, &v1);
-        }
-        let beta = norm(&w);
-        if beta < 1e-12 || j + 1 == m_max {
-            break;
-        }
-        betas.push(beta);
-        let next: Vec<f64> = w.iter().map(|x| x / beta).collect();
-        basis.push(next);
-        // cheap convergence probe every few iterations; the Ritz value
-        // is only needed (to check it is finite) once beta is small
-        if j >= 8 && j % 4 == 0 && beta < tol {
-            let mu = tridiag_kth_largest(&alphas, &betas[..alphas.len() - 1], 1);
-            if mu.is_finite() {
-                break;
-            }
-        }
-    }
+    let Krylov {
+        basis,
+        alphas,
+        betas,
+    } = run(comp, &v1, v, m_max, tol);
 
     let m = alphas.len();
     let beta_slice = &betas[..m.saturating_sub(1)];
@@ -345,6 +434,145 @@ mod tests {
     use fx_graph::{generators, NodeSet};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    /// Reference recurrence that [`krylov`] must match bit for bit: one
+    /// `dot` and one `axpy` pass per projection, and a full
+    /// reorthogonalization on the last iteration as well.
+    fn krylov_reference(
+        comp: &CompactComponent,
+        v1: &[f64],
+        start: Vec<f64>,
+        m_max: usize,
+        tol: f64,
+    ) -> Krylov {
+        let mut basis: Vec<Vec<f64>> = vec![start];
+        let mut alphas: Vec<f64> = Vec::new();
+        let mut betas: Vec<f64> = Vec::new();
+        let mut w = vec![0.0; basis[0].len()];
+        for j in 0..m_max {
+            comp.apply_normalized_adjacency(&basis[j], &mut w);
+            deflate(&mut w, v1);
+            let alpha = dot(&basis[j], &w);
+            alphas.push(alpha);
+            axpy(&mut w, alpha, &basis[j]);
+            if j > 0 {
+                axpy(&mut w, betas[j - 1], &basis[j - 1]);
+            }
+            for _ in 0..2 {
+                for q in &basis {
+                    let c = dot(&w, q);
+                    axpy(&mut w, c, q);
+                }
+                deflate(&mut w, v1);
+            }
+            let beta = norm(&w);
+            if beta < 1e-12 || j + 1 == m_max {
+                break;
+            }
+            betas.push(beta);
+            let next: Vec<f64> = w.iter().map(|x| x / beta).collect();
+            basis.push(next);
+            if j >= 8 && j % 4 == 0 && beta < tol {
+                let mu = tridiag_kth_largest(&alphas, &betas[..alphas.len() - 1], 1);
+                if mu.is_finite() {
+                    break;
+                }
+            }
+        }
+        Krylov {
+            basis,
+            alphas,
+            betas,
+        }
+    }
+
+    /// Inputs for the kernel test: signed zeros, subnormals, and values
+    /// from 1e-300 to 1e300, so cancellation, underflow and rounding
+    /// all occur.
+    fn awkward(n: usize, salt: u64) -> Vec<f64> {
+        let mut rng = SmallRng::seed_from_u64(salt);
+        (0..n)
+            .map(|i| match (i as u64 + salt) % 7 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f64::MIN_POSITIVE * rng.gen_range(-1.0..1.0),
+                3 => rng.gen_range(-1.0..1.0) * 1e300,
+                4 => rng.gen_range(-1.0..1.0) * 1e-300,
+                _ => rng.gen_range(-1.0..1.0) * 10f64.powi(rng.gen_range(0u32..16) as i32 - 8),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn axpy_dot_is_bit_identical_to_axpy_then_dot() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for n in 0..=4 * BLOCK + 1 {
+            for salt in 0..6u64 {
+                let prev = awkward(n, salt);
+                let q = awkward(n, salt + 1);
+                let w0 = awkward(n, salt + 2);
+                for c in [0.0, -0.0, 0.75, -3.5e-7, 1e300, f64::MIN_POSITIVE] {
+                    let mut want = w0.clone();
+                    axpy(&mut want, c, &prev);
+                    let want_dot = dot(&want, &q);
+                    let mut got = w0.clone();
+                    let got_dot = axpy_dot(&mut got, c, &prev, &q);
+                    assert_eq!(bits(&got), bits(&want), "n={n} salt={salt} c={c}");
+                    assert_eq!(
+                        got_dot.to_bits(),
+                        want_dot.to_bits(),
+                        "n={n} salt={salt} c={c}: {got_dot} vs {want_dot}"
+                    );
+                }
+            }
+        }
+        // an all-zero product chain keeps the sign of the `-0.0` seed
+        let ones = [1.0; BLOCK + 3];
+        let mut w = [-0.0; BLOCK + 3];
+        let r = axpy_dot(&mut w, 0.0, &[0.0; BLOCK + 3], &ones);
+        assert!(r == 0.0 && r.is_sign_negative(), "{r}");
+        assert_eq!(r.to_bits(), dot(&w, &ones).to_bits());
+    }
+
+    #[test]
+    fn fused_lanczos_is_bit_identical_to_the_reference_recurrence() {
+        let mut faulted = NodeSet::full(400);
+        for v in [3, 41, 42, 77, 150, 151, 152, 230, 301, 399] {
+            faulted.remove(v);
+        }
+        let cases: Vec<(&str, fx_graph::CsrGraph, NodeSet)> = vec![
+            (
+                "torus:12,12",
+                generators::torus(&[12, 12]),
+                NodeSet::full(144),
+            ),
+            ("torus:20,20 faulted", generators::torus(&[20, 20]), faulted),
+            ("mesh:9,11", generators::mesh(&[9, 11]), NodeSet::full(99)),
+            ("hypercube:8", generators::hypercube(8), NodeSet::full(256)),
+            (
+                "random-regular:300,4",
+                generators::random_regular(300, 4, &mut SmallRng::seed_from_u64(5)),
+                NodeSet::full(300),
+            ),
+            ("path:2", generators::path(2), NodeSet::full(2)),
+            ("complete:5", generators::complete(5), NodeSet::full(5)),
+        ];
+        for (name, g, alive) in &cases {
+            let comp = CompactComponent::largest(g, alive).unwrap();
+            for (max_iter, tol) in [(160, 1e-9), (40, 0.5), (7, 1e-9)] {
+                let mut rng = SmallRng::seed_from_u64(17);
+                let got = lanczos_lambda2(&comp, max_iter, tol, &mut rng).unwrap();
+                let mut rng = SmallRng::seed_from_u64(17);
+                let want = lanczos_with(&comp, max_iter, tol, &mut rng, krylov_reference).unwrap();
+                let ctx = format!("{name} max_iter={max_iter} tol={tol}");
+                assert_eq!(got.iterations, want.iterations, "{ctx}");
+                assert_eq!(got.lambda2.to_bits(), want.lambda2.to_bits(), "{ctx}");
+                assert_eq!(got.residual.to_bits(), want.residual.to_bits(), "{ctx}");
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got.ritz_vector), bits(&want.ritz_vector), "{ctx}");
+            }
+        }
+    }
 
     fn lambda2_of(g: &fx_graph::CsrGraph) -> f64 {
         let alive = NodeSet::full(g.num_nodes());

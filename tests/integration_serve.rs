@@ -19,8 +19,10 @@
 //! request it already accepted. The connection layer never stalls:
 //! keep-alive round trips do not wait for a delayed ACK, idle sockets
 //! neither block new connections nor shutdown, a connection over the
-//! cap gets `503`, and `Connection: close` marks every response after
-//! which the server closes.
+//! cap gets `503` (counted as `refused` in `/v1/stats`), a client that
+//! never reads its answers loses its slot to the write timeout, and
+//! `Connection: close` marks every response after which the server
+//! closes.
 
 use fx_campaign::{expand, run, run_cell, serve, CampaignSpec, RunOptions, ServeOptions};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -773,13 +775,25 @@ fn a_connection_over_the_cap_gets_503_and_close() {
     assert_eq!(refused.status, 503, "{}", refused.body);
     assert_eq!(refused.header("Connection"), Some("close"));
     assert_eq!(refused.header("Retry-After"), Some("1"));
-    // The held connections are unaffected, and closing one frees its
-    // slot for a newcomer.
+    // The held connections are unaffected, /v1/stats counts the
+    // refusal, and closing one frees its slot for a newcomer.
     held[0]
         .get_mut()
         .write_all(b"GET /v1/health HTTP/1.1\r\nHost: t\r\n\r\n")
         .unwrap();
     assert_eq!(read_reply(&mut held[0]).status, 200);
+    held[0]
+        .get_mut()
+        .write_all(b"GET /v1/stats HTTP/1.1\r\nHost: t\r\n\r\n")
+        .unwrap();
+    let stats = read_reply(&mut held[0]);
+    assert_eq!(stats.status, 200);
+    let stats = fx_json::Json::parse(&stats.body).unwrap();
+    assert_eq!(
+        stats.get("refused").and_then(fx_json::Json::as_u64),
+        Some(1),
+        "{stats:?}"
+    );
     drop(held.pop());
     assert_eq!(get_once_slots_free(addr, "/v1/health").status, 200);
     server.shutdown();
@@ -894,5 +908,44 @@ fn a_client_that_stalls_mid_headers_is_dropped_after_the_header_deadline() {
         elapsed < Duration::from_secs(5),
         "stalled request held its connection for {elapsed:?}"
     );
+    server.shutdown();
+}
+
+#[test]
+fn a_client_that_pipelines_but_never_reads_loses_its_slot_to_the_write_timeout() {
+    let _guard = serial();
+    let spec = mini_spec(None);
+    let server = serve(
+        &spec,
+        &ServeOptions {
+            addr: "127.0.0.1:0".into(),
+            max_connections: 1,
+            ..ServeOptions::default()
+        },
+    )
+    .unwrap();
+    let addr = server.addr();
+    // Pipeline requests without reading a byte until the socket
+    // buffers in both directions are full: the server is then blocked
+    // writing a response, and the client's own write stalls.
+    let mut hog = TcpStream::connect(addr).unwrap();
+    hog.set_write_timeout(Some(Duration::from_secs(1))).unwrap();
+    let batch = b"GET /v1/stats HTTP/1.1\r\nHost: t\r\n\r\n".repeat(256);
+    let mut sent = 0usize;
+    while hog.write_all(&batch).is_ok() {
+        sent += batch.len();
+        assert!(sent < 1 << 30, "the server never stopped reading");
+    }
+    // `hog` stays open and unread, yet its slot comes back once the
+    // server's blocked write times out (2 s).
+    let start = Instant::now();
+    let reply = get_once_slots_free(addr, "/v1/health");
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "a reader-less client held the only slot for {elapsed:?}"
+    );
+    drop(hog);
     server.shutdown();
 }
